@@ -107,18 +107,22 @@ fn table4_layers(ctx: &Ctx, trace_dir: &Path, out: &mut Vec<Metric>) -> Result<(
             "ns/trial",
         ));
     }
-    // The part of each round no cell span covers.
-    let self_ns = trace.self_ns();
-    let (mut uncovered, mut total) = (0u64, 0u64);
-    for (span, &own) in trace.spans().iter().zip(&self_ns) {
-        if span.name == "perfbench.round" {
-            uncovered += own;
-            total += span.ns();
-        }
-    }
+    // The part of the streams' time in the rounds that no cell chunk
+    // covers: spawning, the queue, and the stream that finishes first
+    // waiting for the other.
+    let spans = trace.spans();
+    let sum = |names: &[&str]| -> f64 {
+        spans
+            .iter()
+            .filter(|s| names.contains(&s.name))
+            .map(|s| s.ns() as f64)
+            .sum()
+    };
+    let cells = sum(&["muse_faultsim.muse_msed", "muse_faultsim.rs_msed"]);
+    let streams = WORKERS as f64 * sum(&["perfbench.round"]);
     out.push(Metric::new(
         "muse_faultsim.msed_unattributed_pct",
-        100.0 * uncovered as f64 / total.max(1) as f64,
+        100.0 * (1.0 - cells / streams.max(1.0)),
         "%",
     ));
     Ok(())

@@ -35,10 +35,12 @@ use trace::Trace;
 
 /// Set-ups per run; `setup_s` is their median.
 const SETUP_REPS: usize = 9;
-/// Worker threads of every simulator call. Two is the core count of the
-/// host the bounds in `BENCHMARK.json` were set on: there, runs that keep
-/// both cores busy repeat within a few percent, while single-threaded
-/// runs drift by ±15% from run to run as the other core idles.
+/// Threads each workload keeps busy: the workers of every fleet and
+/// service simulator call, and the single-worker streams of
+/// `table4-msed`. Two is the core count of the host the bounds in
+/// `BENCHMARK.json` were set on: there, runs that keep both cores busy
+/// repeat within a few percent, while single-threaded runs drift by ±15%
+/// from run to run as the other core idles.
 pub const WORKERS: usize = 2;
 /// A run stops adding rounds after this long even when a phase is still
 /// short of samples (its p90 is then refused).
@@ -228,6 +230,8 @@ struct Measured {
     round_s: [Vec<f64>; 2],
     /// Spans of the traced rounds (trace mode only).
     trace: Trace,
+    /// Host steal during the timed rounds, in percent of all cores' time.
+    steal_pct: Option<f64>,
 }
 
 fn measure<W: Workload>(ctx: &Ctx, seconds: u64, traced: bool) -> Result<Measured, String> {
@@ -248,6 +252,7 @@ fn measure<W: Workload>(ctx: &Ctx, seconds: u64, traced: bool) -> Result<Measure
     let mut phase2 = PhaseLog::default();
     let mut round_s = [Vec::new(), Vec::new()];
     let budget = Duration::from_secs(seconds);
+    let ticks = stats::cpu_ticks();
     let start = Instant::now();
     for round in 0u64.. {
         let elapsed = start.elapsed();
@@ -271,6 +276,7 @@ fn measure<W: Workload>(ctx: &Ctx, seconds: u64, traced: bool) -> Result<Measure
         })?;
         round_s[side].push(round_start.elapsed().as_secs_f64());
     }
+    let steal_pct = stats::steal_pct(ticks, stats::cpu_ticks());
     let ops = w.verify();
     let [_, trace] = traces;
     Ok(Measured {
@@ -280,6 +286,7 @@ fn measure<W: Workload>(ctx: &Ctx, seconds: u64, traced: bool) -> Result<Measure
         ops,
         round_s,
         trace,
+        steal_pct,
     })
 }
 
@@ -355,6 +362,13 @@ fn run_workload<W: Workload>(args: &Args, ctx: &Ctx) -> Result<(Vec<Metric>, Ops
     } else {
         end_to_end::<W>(&m, &mut lines)?
     };
+    // Time the hypervisor gave to other guests slows every phase alike
+    // and is no property of the code; it is printed so that a slow run
+    // can be told from a slow change. It is not a metric.
+    lines.push(match m.steal_pct {
+        Some(pct) => format!("host_steal_pct = {pct:.2} % (all cores, timed rounds, /proc/stat)"),
+        None => "host_steal_pct unavailable (/proc/stat unreadable)".to_string(),
+    });
     let ratio = m.ops.failed as f64 / m.ops.attempted.max(1) as f64;
     lines.push(format!(
         "ops_failed_ratio = {ratio} ({} of {} operations failed)",

@@ -112,6 +112,29 @@ impl Host {
     }
 }
 
+/// Steal and total time of all cores so far, in clock ticks, from the
+/// `cpu` line of `/proc/stat`; `None` where the file cannot be read.
+pub fn cpu_ticks() -> Option<[u64; 2]> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let fields: Vec<u64> = stat
+        .lines()
+        .next()?
+        .strip_prefix("cpu ")?
+        .split_whitespace()
+        .map(|f| f.parse().ok())
+        .collect::<Option<_>>()?;
+    // user nice system idle iowait irq softirq steal guest guest_nice;
+    // guest time is already counted in user and nice.
+    Some([*fields.get(7)?, fields.iter().take(8).sum()])
+}
+
+/// Share of all cores' time between two [`cpu_ticks`] readings that the
+/// hypervisor gave to other guests, in percent.
+pub fn steal_pct(before: Option<[u64; 2]>, after: Option<[u64; 2]>) -> Option<f64> {
+    let ([s0, t0], [s1, t1]) = (before?, after?);
+    (t1 > t0).then(|| 100.0 * s1.saturating_sub(s0) as f64 / (t1 - t0) as f64)
+}
+
 /// Peak resident set size of this process in MiB (`VmHWM`).
 pub fn peak_rss_mb() -> Result<f64, String> {
     let status = std::fs::read_to_string("/proc/self/status")
@@ -144,5 +167,12 @@ mod tests {
         let p90 = percentile(&many, 0.9).expect("enough samples");
         assert!(p90.beyond >= MIN_BEYOND);
         assert!(percentile(&few, 0.5).is_ok());
+    }
+
+    #[test]
+    fn steal_is_a_share_of_elapsed_ticks() {
+        assert_eq!(steal_pct(Some([10, 1000]), Some([30, 1400])), Some(5.0));
+        assert_eq!(steal_pct(Some([10, 1000]), Some([10, 1000])), None);
+        assert_eq!(steal_pct(None, Some([10, 1000])), None);
     }
 }

@@ -1,17 +1,26 @@
 //! `table4-msed`: all of Table IV, as `crates/bench/src/bin/table4.rs`
-//! computes it, at [`WORKERS`] workers.
+//! computes it, every simulator call at one worker.
 //!
 //! Phase 1 runs the six MUSE cells (the largest searched multiplier on
 //! 144 bits for r = 16..12, plus MUSE(80,69)); phase 2 the eight RS
 //! cells (s = 8..5, t = 1, `DeviceConfined` and `SymbolSyndromes`). Each
-//! cell runs at a fixed trial count with its own seed per round, and one
-//! operation is one phase of a round: a family's whole share of Table IV.
-//! Single cells would make poor latency samples, as their costs differ
-//! by up to 3.6x and a percentile lands on the step between two cells.
-//! Trials per family are sized so both phases take comparable time: at
-//! equal trials the RS cells take about seven times longer per trial. A
-//! run sums to ledger-grade counts (over 100M trials per MUSE cell).
+//! cell runs [`CHUNKS`] chunks per round at a fixed trial count, each on
+//! its own seed, and one operation is one phase of a round: a family's
+//! whole share of Table IV. Single cells would make poor latency
+//! samples, as their costs differ by up to 3.6x and a percentile lands on
+//! the step between two cells. Trials per family are sized so both
+//! phases take comparable time: at equal trials the RS cells take about
+//! seven times longer per trial. A run sums to ledger-grade counts (over
+//! 100M trials per MUSE cell).
+//!
+//! The chunks of a phase form one queue that [`WORKERS`] single-worker
+//! streams drain. When the host holds one core back, the other stream
+//! takes the remaining chunks, so the phase loses about half the held
+//! time. Under a static split (each cell over all workers in turn) every
+//! cell would wait for its slowest worker, and phase times followed the
+//! host's steal more than the code.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use muse_core::{
@@ -24,10 +33,12 @@ use crate::stats::mix;
 use crate::trace::Trace;
 use crate::{Ctx, Ops, PhaseInfo, PhaseLog, Workload, WORKERS};
 
-/// Trials per MUSE cell per round.
-const MUSE_TRIALS: u64 = 1_000_000;
-/// Trials per RS cell per round.
-const RS_TRIALS: u64 = 150_000;
+/// Chunks per cell per round.
+pub const CHUNKS: u64 = 4;
+/// Trials per MUSE chunk (1M per cell per round).
+const MUSE_TRIALS: u64 = 250_000;
+/// Trials per RS chunk (150k per cell per round).
+const RS_TRIALS: u64 = 37_500;
 /// Trials of the lane-kernel-vs-scalar-oracle prefix per MUSE cell.
 const LANE_PREFIX: u64 = 1 << 16;
 /// Multiplier widths searched on 144 bits (extra bits 0..=4).
@@ -55,16 +66,16 @@ pub struct Cell {
     pub code: CellCode,
     /// Whether set-up found the multiplier Table IV lists.
     search_ok: Result<(), String>,
-    /// Merged tallies of every timed operation.
+    /// Merged tallies of every timed chunk.
     total: MsedStats,
-    /// Timed operations run.
+    /// Timed chunks run.
     ops: u64,
-    /// Operations whose counts did not sum to their trials.
+    /// Chunks whose counts did not sum to their trials.
     bad_sums: Vec<String>,
 }
 
 impl Cell {
-    /// Trials per operation of this cell.
+    /// Trials per chunk of this cell.
     pub fn trials(&self) -> u64 {
         match self.code {
             CellCode::Muse(_) => MUSE_TRIALS,
@@ -165,21 +176,64 @@ impl Table4 {
             failing_devices: 2,
             trials,
             seed: mix(self.seed, cell as u64, salt),
-            threads: WORKERS,
+            threads: 1,
         }
     }
+}
+
+/// One chunk as a stream ran it.
+struct ChunkRun {
+    /// Index into the phase's job list.
+    job: usize,
+    stats: MsedStats,
+    start: Instant,
+    end: Instant,
+}
+
+/// Runs every `(cell, config)` job on [`WORKERS`] threads, each taking
+/// the next job from a shared counter until none is left.
+fn run_streams(cells: &[Cell], jobs: &[(usize, MsedConfig)]) -> Vec<ChunkRun> {
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let streams: Vec<_> = (0..WORKERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut runs = Vec::new();
+                    loop {
+                        let job = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(cell, config)) = jobs.get(job) else {
+                            return runs;
+                        };
+                        let start = Instant::now();
+                        let stats = cells[cell].run(config);
+                        let end = Instant::now();
+                        runs.push(ChunkRun {
+                            job,
+                            stats,
+                            start,
+                            end,
+                        });
+                    }
+                })
+            })
+            .collect();
+        streams
+            .into_iter()
+            .flat_map(|s| s.join().expect("stream thread panicked"))
+            .collect()
+    })
 }
 
 impl Workload for Table4 {
     const NAME: &'static str = "table4-msed";
     const PHASES: [PhaseInfo; 2] = [
         PhaseInfo {
-            op: "six MUSE cells at 1M trials each",
+            op: "six MUSE cells at 1M trials each, in 4 chunks",
             work_unit: "trials",
             aliases: [Some("msed_muse_trials_per_s"), None, None],
         },
         PhaseInfo {
-            op: "eight RS cells at 150k trials each",
+            op: "eight RS cells at 150k trials each, in 4 chunks",
             work_unit: "trials",
             aliases: [Some("msed_rs_trials_per_s"), None, None],
         },
@@ -194,7 +248,7 @@ impl Workload for Table4 {
 
     fn warm_up(&mut self) -> Result<(), String> {
         for (i, cell) in self.cells.iter().enumerate() {
-            std::hint::black_box(cell.run(self.config(i, cell.trials() / 10, u64::MAX)));
+            std::hint::black_box(cell.run(self.config(i, cell.trials(), u64::MAX)));
         }
         Ok(())
     }
@@ -207,30 +261,39 @@ impl Workload for Table4 {
         phase2: &mut PhaseLog,
     ) -> Result<(), String> {
         for (muse, phase) in [(true, phase1), (false, phase2)] {
+            let span = if muse {
+                "muse_faultsim.muse_msed"
+            } else {
+                "muse_faultsim.rs_msed"
+            };
+            // Chunk-major order: the last chunks of the queue are one of
+            // each cell, so the streams finish within a chunk of another.
+            let mut jobs = Vec::new();
+            for chunk in 0..CHUNKS {
+                for (i, cell) in self.cells.iter().enumerate() {
+                    if matches!(cell.code, CellCode::Muse(_)) == muse {
+                        jobs.push((i, self.config(i, cell.trials(), round * CHUNKS + chunk)));
+                    }
+                }
+            }
             let start = Instant::now();
-            let mut trials = 0;
-            for i in 0..self.cells.len() {
-                let cell = &self.cells[i];
-                let span = match cell.code {
-                    CellCode::Muse(_) if muse => "muse_faultsim.muse_msed",
-                    CellCode::Rs(..) if !muse => "muse_faultsim.rs_msed",
-                    _ => continue,
-                };
-                let config = self.config(i, cell.trials(), round);
-                let stats = trace.span(span, &cell.name, round, |_| cell.run(config));
-                trials += config.trials;
+            let runs = run_streams(&self.cells, &jobs);
+            let trials: u64 = jobs.iter().map(|(_, config)| config.trials).sum();
+            phase.op(trials as f64, start.elapsed().as_secs_f64());
+            for run in runs {
+                let (i, config) = jobs[run.job];
                 let cell = &mut self.cells[i];
+                trace.record(span, &cell.name, round, run.start, run.end);
                 cell.ops += 1;
-                if let Err(e) = sum_gate(&stats, config.trials) {
+                if let Err(e) = sum_gate(&run.stats, config.trials) {
                     cell.bad_sums
                         .push(format!("{} round {round}: {e}", cell.name));
                 }
-                cell.total.detected += stats.detected;
-                cell.total.corrected += stats.corrected;
-                cell.total.miscorrected += stats.miscorrected;
-                cell.total.silent += stats.silent;
+                cell.total.detected += run.stats.detected;
+                cell.total.corrected += run.stats.corrected;
+                cell.total.miscorrected += run.stats.miscorrected;
+                cell.total.silent += run.stats.silent;
             }
-            phase.op(trials as f64, start.elapsed().as_secs_f64());
         }
         Ok(())
     }

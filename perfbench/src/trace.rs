@@ -86,26 +86,62 @@ impl Trace {
         out
     }
 
+    /// Records a span that ran from `start` to `end`, possibly on another
+    /// thread, as a child of the innermost open span.
+    pub fn record(
+        &mut self,
+        name: &'static str,
+        label: &str,
+        req: u64,
+        start: Instant,
+        end: Instant,
+    ) {
+        let parent = self.open.last().copied();
+        let origin = self.origin;
+        let ns = |t: Instant| t.saturating_duration_since(origin).as_nanos() as u64;
+        if let Some(spans) = self.spans.as_mut() {
+            spans.push(Span {
+                name,
+                label: label.to_string(),
+                req,
+                parent,
+                start_ns: ns(start),
+                end_ns: ns(end),
+            });
+        }
+    }
+
     /// The recorded spans (empty when disabled).
     pub fn spans(&self) -> &[Span] {
         self.spans.as_deref().unwrap_or(&[])
     }
 
     /// Self time of every span: its duration minus the part of it that
-    /// its child spans cover (children of one parent run one after
-    /// another, so their durations add).
+    /// its child spans cover. Children may overlap (concurrent streams),
+    /// so the covered part is the union of their intervals.
     pub fn self_ns(&self) -> Vec<u64> {
         let spans = self.spans();
-        let mut child_ns = vec![0u64; spans.len()];
+        let mut children = vec![Vec::new(); spans.len()];
         for span in spans {
             if let Some(p) = span.parent {
-                child_ns[p] += span.ns();
+                children[p].push((span.start_ns, span.end_ns));
             }
         }
         spans
             .iter()
-            .zip(&child_ns)
-            .map(|(s, &c)| s.ns().saturating_sub(c))
+            .zip(children)
+            .map(|(span, mut kids)| {
+                kids.sort_unstable();
+                let (mut covered, mut reach) = (0, 0);
+                for (start, end) in kids {
+                    let start = start.max(reach);
+                    if end > start {
+                        covered += end - start;
+                        reach = end;
+                    }
+                }
+                span.ns().saturating_sub(covered)
+            })
             .collect()
     }
 
@@ -164,9 +200,26 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_children_count_once() {
+        let mut t = Trace::new(true);
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + std::time::Duration::from_millis(ms);
+        t.span("outer", "", 0, |t| {
+            std::thread::sleep(std::time::Duration::from_millis(12));
+            t.record("inner", "a", 0, at(1), at(6));
+            t.record("inner", "b", 0, at(3), at(9));
+            t.record("inner", "c", 0, at(4), at(5));
+        });
+        let spans = t.spans();
+        assert_eq!(spans[3].parent, Some(0));
+        assert_eq!(t.self_ns()[0], spans[0].ns() - 8_000_000);
+    }
+
+    #[test]
     fn disabled_trace_records_nothing() {
         let mut t = Trace::new(false);
         assert_eq!(t.span("x", "", 0, |_| 7), 7);
+        t.record("y", "", 0, Instant::now(), Instant::now());
         assert!(t.spans().is_empty());
     }
 }
