@@ -6,10 +6,15 @@
 //! accumulates the `2t` GF syndromes from the `α^(l·p)` table, and the
 //! decision runs on [`RsCode::locate_errors`](crate::RsCode::locate_errors)
 //! (healthy) or the Forney-style combined
-//! [`RsCode::decode_combined`](crate::RsCode::decode_combined) (degraded:
-//! `ν` erasures + `e` errors, `2e + ν ≤ 2t`). No codeword — and no
-//! dead-chip content — is ever materialized: the erasure solve compensates
-//! any value a dead chip emits, so the simulator does not sample it.
+//! [`RsCode::decode_combined_ctx`](crate::RsCode::decode_combined_ctx)
+//! (degraded: `ν` erasures + `e` errors, `2e + ν ≤ 2t`). A transient under
+//! an erased chip is located from the modified-syndrome ratio and sized by
+//! Forney's closed form against per-position scales hoisted at
+//! [`RsClassifier::resolve`](muse_core::Classifier::resolve) time, so a
+//! degraded read allocates nothing and solves no linear system. No
+//! codeword — and no dead-chip content — is ever materialized: the erasure
+//! solve compensates any value a dead chip emits, so the simulator does not
+//! sample it.
 
 use muse_core::{Classifier, Entropy, Strike, WordRead};
 
@@ -22,8 +27,9 @@ pub enum RsContext {
     Healthy,
     /// Degraded operation: the hoisted combined-decode constants for the
     /// erased RS symbol set (erasure locator `Γ(x)`, inverse syndrome
-    /// Vandermonde, residual rows — see [`CombinedContext`]), so every
-    /// degraded read decodes without re-deriving them.
+    /// Vandermonde, residual rows, per-position Forney scales — see
+    /// [`CombinedContext`]), so every degraded read decodes without
+    /// re-deriving them.
     Degraded(CombinedContext),
 }
 

@@ -39,16 +39,6 @@ pub struct RsMemoryCode {
     n_bits: u32,
     data_bits: u32,
     top_symbol_bits: u32,
-    /// The incremental-syndrome table, in the log domain:
-    /// `log α^(l·p) = l·p mod (2^s − 1)` for symbol position `p` and
-    /// syndrome index `l ∈ [0, 2t)`, flattened as
-    /// `err_pow_logs[p · 2t + l]`. Because the code is linear, the
-    /// syndromes of a corrupted codeword equal the syndromes of its error
-    /// pattern alone, `S_l = Σ_p e_p · α^(l·p)` — and with the powers'
-    /// logs precomputed, each term is a single antilog lookup
-    /// (`S_l ^= α^(err_pow_logs[...] + log e_p)`) instead of a full
-    /// table multiply.
-    err_pow_logs: Vec<u16>,
 }
 
 /// Outcome of syndrome-domain single-symbol location (t = 1 codes): the
@@ -110,21 +100,12 @@ impl RsMemoryCode {
         let k_sym = n_sym - 2 * t;
         let rs = RsCode::new(symbol_bits, n_sym, k_sym)?;
         let rem = n_bits % symbol_bits;
-        let gf = rs.field();
-        let err_pow_logs = (0..n_sym)
-            .flat_map(|p| (0..2 * t).map(move |l| (p, l)))
-            .map(|(p, l)| {
-                let pow = gf.alpha_pow((l * p) as i64);
-                gf.log(pow).expect("powers of α are nonzero") as u16
-            })
-            .collect();
         Ok(Self {
             rs,
             symbol_bits,
             n_bits,
             data_bits: n_bits - 2 * t as u32 * symbol_bits,
             top_symbol_bits: if rem == 0 { symbol_bits } else { rem },
-            err_pow_logs,
         })
     }
 
@@ -267,7 +248,7 @@ impl RsMemoryCode {
                 continue;
             }
             let lv = gf.log(value).expect("nonzero value");
-            let logs = &self.err_pow_logs[sym * r..(sym + 1) * r];
+            let logs = self.rs.pow_logs(sym);
             for (s, &lp) in synd[..r].iter_mut().zip(logs) {
                 *s ^= gf.exp_sum(lv, lp as u32);
             }

@@ -107,6 +107,12 @@ pub struct RsCode {
     k: usize,
     t: usize,
     generator: Vec<u16>,
+    /// `log α^(l·p) = l·p mod (2^s − 1)` for symbol position `p < n` and
+    /// syndrome index `l < 2t`, flattened as `pow_logs[p · 2t + l]`: the
+    /// syndrome contribution of an error `e` at `p` is one antilog lookup,
+    /// `α^(pow_logs[p · 2t + l] + log e)`, with no table multiply and no
+    /// modular reduction.
+    pow_logs: Vec<u16>,
 }
 
 impl RsCode {
@@ -131,12 +137,16 @@ impl RsCode {
         for i in 0..2 * t {
             generator = gf.poly_mul(&generator, &[gf.alpha_pow(i as i64), 1]);
         }
+        let pow_logs = (0..n)
+            .flat_map(|p| (0..2 * t).map(move |l| (l * p % max) as u16))
+            .collect();
         Ok(Self {
             gf,
             n,
             k,
             t,
             generator,
+            pow_logs,
         })
     }
 
@@ -163,6 +173,13 @@ impl RsCode {
     /// The generator polynomial, low-degree coefficient first.
     pub fn generator(&self) -> &[u16] {
         &self.generator
+    }
+
+    /// The `2t` logs `log α^(l·p)`, `l < 2t`, of symbol position `p`.
+    #[inline]
+    pub(crate) fn pow_logs(&self, p: usize) -> &[u16] {
+        let r = 2 * self.t;
+        &self.pow_logs[p * r..(p + 1) * r]
     }
 
     /// Encodes `k` data symbols into an `n`-symbol codeword
@@ -438,8 +455,12 @@ impl RsCode {
     /// `Ξ` reduces to the plain erasure solve
     /// ([`Self::erasure_magnitudes`]); otherwise the surviving geometric
     /// ratio `Ξ_{j+1}/Ξ_j = α^q` locates the single error the `t ≤ 2`
-    /// geometries admit, and the full Vandermonde solve (with its residual
-    /// syndrome checks) produces the magnitudes.
+    /// geometries admit. Forney's closed form then gives its magnitude,
+    /// `e = Ξ_ν / (α^{qν}·Γ(α^{-q}))`; folding `e·α^{lq}` out of the
+    /// leading `ν` syndromes leaves a pure erasure solve for the fills, and
+    /// the trailing syndrome equations are re-checked with the error term
+    /// included. The result is exactly the `(ν + 1)`-position
+    /// [`Self::erasure_magnitudes`] solve over the erasures and `q`.
     ///
     /// # Panics
     ///
@@ -493,9 +514,11 @@ impl RsCode {
 
     /// Precomputes every per-erasure-set constant of
     /// [`Self::decode_combined`] — the erasure locator `Γ(x)`, the inverse
-    /// of the leading `ν × ν` syndrome Vandermonde, and the residual-check
-    /// rows `α^(l·p_i)` — so repeated degraded reads against the same
-    /// erased set ([`Self::decode_combined_ctx`]) do none of that work.
+    /// of the leading `ν × ν` syndrome Vandermonde, the residual-check
+    /// rows `α^(l·p_i)`, and the log of the Forney scale
+    /// `α^{qν}·Γ(α^{-q})` of every codeword position `q` — so repeated
+    /// degraded reads against the same erased set
+    /// ([`Self::decode_combined_ctx`]) do none of that work.
     /// `RsClassifier::resolve` builds one of these per degraded context.
     ///
     /// # Panics
@@ -555,19 +578,34 @@ impl RsCode {
         let check_rows: Vec<u16> = (nu..2 * self.t)
             .flat_map(|l| erasures.iter().map(move |&p| gf.alpha_pow((l * p) as i64)))
             .collect();
+        // Forney scale of every candidate error position q: a single error
+        // e at q contributes Ξ_ν = e·α^{qν}·Γ(α^{-q}) to the first modified
+        // syndrome. Γ vanishes exactly at the erased positions.
+        let scale_logs: Vec<u16> = (0..self.n)
+            .map(|q| {
+                let q = q as i64;
+                let gamma_at = gf.poly_eval(&gamma, gf.alpha_pow(-q));
+                match gf.log(gf.mul(gf.alpha_pow(q * nu as i64), gamma_at)) {
+                    Some(l) => l as u16,
+                    None => ERASED,
+                }
+            })
+            .collect();
         CombinedContext {
             positions: erasures.to_vec(),
             gamma,
             vinv,
             check_rows,
+            scale_logs,
         }
     }
 
     /// [`Self::decode_combined`] against a precomputed
     /// [`CombinedContext`]: identical classifications, with the erasure
-    /// locator, inverse Vandermonde, and residual rows hoisted out of the
-    /// per-read path and the correction list returned in fixed-capacity
-    /// form (no allocation on the erasure-only fast path).
+    /// locator, inverse Vandermonde, residual rows and per-position Forney
+    /// scales hoisted out of the per-read path and the correction list
+    /// returned in fixed-capacity form. Nothing on the per-read path
+    /// allocates, and the error-under-erasure branch is table lookups only.
     ///
     /// # Panics
     ///
@@ -598,68 +636,116 @@ impl RsCode {
             // equivalent to the residual checks of the plain solve
             // passing, but the hoisted rows re-check the trailing
             // equations all the same).
-            let mut out = RsCorrections::default();
             if synd.iter().all(|&s| s == 0) {
                 // Clean read under erasure: all-zero fills.
+                let mut out = RsCorrections::default();
                 for (i, &p) in ctx.positions.iter().enumerate() {
                     out.pairs[i] = (p, 0);
                 }
                 out.len = nu as u8;
                 return Some(out);
             }
-            for (i, &p) in ctx.positions.iter().enumerate() {
-                let mut mag = 0u16;
-                for (j, &s) in synd[..nu].iter().enumerate() {
-                    mag = gf.add(mag, gf.mul(ctx.vinv[i * nu + j], s));
-                }
-                out.pairs[i] = (p, mag);
-            }
-            out.len = nu as u8;
-            for (l, &s) in synd.iter().enumerate().skip(nu) {
-                let row = &ctx.check_rows[(l - nu) * nu..(l - nu) * nu + nu];
-                let mut acc = s;
-                for (&r, &(_, e)) in row.iter().zip(&out.pairs[..nu]) {
-                    acc = gf.add(acc, gf.mul(e, r));
-                }
-                if acc != 0 {
-                    return None;
-                }
-            }
-            return Some(out);
+            let out = self.fill_erasures(synd, ctx, None);
+            return self
+                .residual_clean(synd, ctx, None, &out, nu)
+                .then_some(out);
         }
         if n_modified < 2 {
             // Errors present but no remaining correction capacity.
             return None;
         }
         // t ≤ 2 leaves capacity for exactly one error: a genuine single
-        // error at q makes every Ξ_j = C·α^{q·j} nonzero with constant
-        // consecutive ratio α^q.
-        let modified = &modified[..n_modified];
-        if modified.contains(&0) {
+        // error at q makes every Ξ_j = e·α^{qj}·Γ(α^{-q}) nonzero with
+        // constant consecutive ratio α^q. In the log domain the ratio is
+        // a difference of logs, reduced by one conditional add.
+        let order = gf.size() - 1;
+        let log_ratio = |a: u32, b: u32| if b >= a { b - a } else { b + order - a };
+        let mut logs = [0u32; 3];
+        for (lg, &m) in logs.iter_mut().zip(&modified[..n_modified]) {
+            *lg = gf.log(m)?;
+        }
+        let logs = &logs[..n_modified];
+        let lq = log_ratio(logs[0], logs[1]);
+        if logs.windows(2).any(|w| log_ratio(w[0], w[1]) != lq) {
             return None;
         }
-        let ratio = gf.div(modified[1], modified[0]);
-        if modified.windows(2).any(|w| gf.div(w[1], w[0]) != ratio) {
+        let q = lq as usize;
+        if q >= self.n || ctx.scale_logs[q] == ERASED {
             return None;
         }
-        let q = gf.log(ratio)? as usize;
-        if q >= self.n || ctx.positions.contains(&q) {
+        // Forney's closed form: e = Ξ_ν / (α^{qν}·Γ(α^{-q})). It equals
+        // the error magnitude of the (ν + 1)-position Vandermonde solve,
+        // whose row ν is exactly the Ξ_ν equation.
+        let le = log_ratio(u32::from(ctx.scale_logs[q]), logs[0]);
+        let e = gf.exp_at(le);
+        if e == 0 {
+            // Inconsistent with Ξ ≠ 0 (kept from the general solve's guard).
             return None;
         }
-        let mut positions: Vec<usize> = ctx.positions.clone();
-        positions.push(q);
-        // The full Vandermonde solve re-checks any remaining syndrome
-        // equations; a zero "error" magnitude is inconsistent with Ξ ≠ 0.
-        let mags = self.erasure_magnitudes(synd, &positions)?;
-        if *mags.last().expect("ν + 1 ≥ 1 magnitudes") == 0 {
-            return None;
+        let error = (le, self.pow_logs(q));
+        let mut out = self.fill_erasures(synd, ctx, Some(error));
+        out.pairs[nu] = (q, e);
+        out.len += 1;
+        // Rows ν + 1.. are the equations the (ν + 1)-position solve
+        // leaves unconsumed.
+        self.residual_clean(synd, ctx, Some(error), &out, nu + 1)
+            .then_some(out)
+    }
+
+    /// The `ν` erasure fills `V⁻¹ · (S_l − e·α^{lq})_{l<ν}`; `error` is
+    /// `(log e, log α^{lq} row)` of a located error, or `None` for an
+    /// erasure-only read.
+    fn fill_erasures(
+        &self,
+        synd: &[u16],
+        ctx: &CombinedContext,
+        error: Option<(u32, &[u16])>,
+    ) -> RsCorrections {
+        let gf = &self.gf;
+        let nu = ctx.positions.len();
+        let mut folded = [0u16; 4];
+        folded[..nu].copy_from_slice(&synd[..nu]);
+        if let Some((le, lq)) = error {
+            for (f, &lp) in folded[..nu].iter_mut().zip(lq) {
+                *f ^= gf.exp_sum(le, u32::from(lp));
+            }
         }
         let mut out = RsCorrections::default();
-        for (i, (&p, &m)) in positions.iter().zip(&mags).enumerate() {
-            out.pairs[i] = (p, m);
+        for (i, &p) in ctx.positions.iter().enumerate() {
+            let row = &ctx.vinv[i * nu..(i + 1) * nu];
+            let mut mag = 0u16;
+            for (&v, &f) in row.iter().zip(&folded[..nu]) {
+                mag = gf.add(mag, gf.mul(v, f));
+            }
+            out.pairs[i] = (p, mag);
         }
-        out.len = positions.len() as u8;
-        Some(out)
+        out.len = nu as u8;
+        out
+    }
+
+    /// Whether the syndrome equations `l ≥ from` hold once the erasure
+    /// fills in `out` (and the located `error`, if any) are applied.
+    fn residual_clean(
+        &self,
+        synd: &[u16],
+        ctx: &CombinedContext,
+        error: Option<(u32, &[u16])>,
+        out: &RsCorrections,
+        from: usize,
+    ) -> bool {
+        let gf = &self.gf;
+        let nu = ctx.positions.len();
+        (from..2 * self.t).all(|l| {
+            let row = &ctx.check_rows[(l - nu) * nu..(l - nu + 1) * nu];
+            let mut acc = synd[l];
+            for (&r, &(_, e)) in row.iter().zip(&out.pairs[..nu]) {
+                acc = gf.add(acc, gf.mul(e, r));
+            }
+            if let Some((le, lq)) = error {
+                acc ^= gf.exp_sum(le, u32::from(lq[l]));
+            }
+            acc == 0
+        })
     }
 
     fn locate_t2(&self, synd: &[u16]) -> Option<RsLocated> {
@@ -766,23 +852,34 @@ impl RsCode {
     }
 }
 
+/// Marker in [`CombinedContext`]'s per-position Forney scales: the position
+/// is erased, so no single error can sit there.
+const ERASED: u16 = u16::MAX;
+
 /// The precomputed per-erasure-set constants of combined decoding: the
 /// erasure locator `Γ(x)`, the inverse of the leading `ν × ν` syndrome
-/// Vandermonde, and the residual-check rows. Built once per degraded
-/// context by [`RsCode::combined_context`]; consumed per read by
+/// Vandermonde, the residual-check rows, and the log of every codeword
+/// position's Forney scale. Built once per degraded context by
+/// [`RsCode::combined_context`]; consumed per read by
 /// [`RsCode::decode_combined_ctx`].
 #[derive(Debug, Clone)]
 pub struct CombinedContext {
     /// The erased symbol positions, in the order given at construction.
     positions: Vec<usize>,
-    /// `Γ(x) = Π (1 + α^{p_i}·x)` coefficients, low-degree-first (ν + 1).
+    /// `Γ(x) = Π (1 + α^{p_i}·x)` coefficients, low-degree-first (ν + 1):
+    /// the convolution that turns syndromes into modified syndromes Ξ.
     gamma: Vec<u16>,
-    /// Row-major inverse of `V[l][i] = α^(l·p_i)`, `l, i < ν`:
-    /// `mags = V⁻¹ · synd[..ν]`.
+    /// Row-major inverse of `V[l][i] = α^(l·p_i)`, `l, i < ν`: the erasure
+    /// fills are `V⁻¹ · synd[..ν]`, after any located error's
+    /// contribution `e·α^{lq}` is folded out of those syndromes.
     vinv: Vec<u16>,
     /// Rows `α^(l·p_i)` for `l = ν..2t`: the trailing syndrome equations
-    /// the solved magnitudes must also satisfy.
+    /// the fills (plus any located error) must also satisfy.
     check_rows: Vec<u16>,
+    /// `log(α^{qν}·Γ(α^{-q}))` for every codeword position `q < n`, or
+    /// [`ERASED`] where `Γ(α^{-q}) = 0`: an error located at `q` has
+    /// magnitude `e = Ξ_ν / α^{scale_logs[q]}` (Forney's closed form).
+    scale_logs: Vec<u16>,
 }
 
 impl CombinedContext {

@@ -1,9 +1,11 @@
 //! Property tests for Forney-style combined error-and-erasure decoding:
 //! random `(e, ν)` sweeps with `2e + ν ≤ 2t` for both supported `t` values,
-//! boundary cases (`2e + ν = 2t`), beyond-capacity behaviour, and a
-//! cross-check against a brute-force wide-decoder oracle.
+//! boundary cases (`2e + ν = 2t`), beyond-capacity behaviour, a
+//! cross-check against a brute-force wide-decoder oracle, and an exhaustive
+//! check of the closed-form error-under-erasure branch against the general
+//! Vandermonde solve.
 
-use muse_rs::RsCode;
+use muse_rs::{RsCode, RsMemoryCode};
 
 /// Small deterministic xorshift for reproducible sweeps.
 struct Xs(u64);
@@ -255,4 +257,141 @@ fn matches_brute_force_oracle_on_arbitrary_corruption() {
             );
         }
     }
+}
+
+/// The combined decode as a general linear solve: modified syndromes
+/// through `Γ(x)`, the error located from their ratio, then
+/// [`RsCode::erasure_magnitudes`] over the erasures plus the located
+/// position, rejecting a zero error magnitude. The closed-form
+/// `decode_combined_ctx` must reproduce it exactly on every input.
+fn solve_reference(rs: &RsCode, synd: &[u16], erasures: &[usize]) -> Option<Vec<(usize, u16)>> {
+    let gf = rs.field();
+    let nu = erasures.len();
+    let mut gamma = vec![1u16];
+    for &p in erasures {
+        gamma = gf.poly_mul(&gamma, &[1, gf.alpha_pow(p as i64)]);
+    }
+    let modified: Vec<u16> = (nu..2 * rs.t())
+        .map(|j| {
+            gamma
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (k, &g)| acc ^ gf.mul(g, synd[j - k]))
+        })
+        .collect();
+    let pairs = |positions: &[usize], mags: Vec<u16>| positions.iter().copied().zip(mags).collect();
+    if modified.iter().all(|&x| x == 0) {
+        return rs
+            .erasure_magnitudes(synd, erasures)
+            .map(|m| pairs(erasures, m));
+    }
+    if modified.len() < 2 || modified.contains(&0) {
+        return None;
+    }
+    let ratio = gf.div(modified[1], modified[0]);
+    if modified.windows(2).any(|w| gf.div(w[1], w[0]) != ratio) {
+        return None;
+    }
+    let q = gf.log(ratio)? as usize;
+    if q >= rs.n_symbols() || erasures.contains(&q) {
+        return None;
+    }
+    let mut positions = erasures.to_vec();
+    positions.push(q);
+    let mags = rs.erasure_magnitudes(synd, &positions)?;
+    if *mags.last().expect("ν + 1 magnitudes") == 0 {
+        return None;
+    }
+    Some(pairs(&positions, mags))
+}
+
+/// Every erased set of `ν ∈ {1, 2}` symbols of `n`.
+fn erased_sets(n: usize) -> Vec<Vec<usize>> {
+    let singles = (0..n).map(|a| vec![a]);
+    let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| vec![a, b]));
+    singles.chain(pairs).collect()
+}
+
+#[test]
+fn forney_branch_matches_the_vandermonde_solve_exhaustively() {
+    // RS(144,112), t = 2: every erased set with ν ∈ {1, 2}, every error
+    // position q outside it and every nonzero 8-bit error magnitude, with
+    // seeded garbage (zero included) in the erased symbols. The closed
+    // form must return exactly the corrections of erasure_magnitudes over
+    // erasures ∪ {q}, which are the injected values themselves.
+    let code = RsMemoryCode::new(8, 144, 2).unwrap();
+    let rs = code.inner();
+    let n = rs.n_symbols();
+    let mut rng = Xs(0xF0E1_EC5E);
+    let mut cases = 0u64;
+    for erasures in erased_sets(n) {
+        let ctx = rs.combined_context(&erasures);
+        let mut positions = erasures.clone();
+        positions.push(0);
+        for q in (0..n).filter(|q| !erasures.contains(q)) {
+            *positions.last_mut().expect("ν + 1 positions") = q;
+            for e in 1..=255u16 {
+                let injected: Vec<(usize, u16)> = erasures
+                    .iter()
+                    .map(|&p| (p, (rng.next() & 0xFF) as u16))
+                    .chain([(q, e)])
+                    .collect();
+                let synd = code.error_syndromes(&injected);
+                let synd = &synd[..4];
+                let got = rs.decode_combined_ctx(synd, &ctx);
+                let want: Option<Vec<(usize, u16)>> = rs
+                    .erasure_magnitudes(synd, &positions)
+                    .filter(|m| m.last() != Some(&0))
+                    .map(|m| positions.iter().copied().zip(m).collect());
+                assert_eq!(
+                    got.as_ref().map(|c| c.corrections()),
+                    want.as_deref(),
+                    "erasures {erasures:?}, error {e:#04x} at {q}"
+                );
+                assert_eq!(want.as_deref(), Some(injected.as_slice()));
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, (18 * 17 + 153 * 16) * 255);
+}
+
+#[test]
+fn forney_branch_matches_the_solve_on_two_error_patterns() {
+    // Beyond capacity (2e + ν = 5 or 6 > 4): two transients outside the
+    // erased set. Most flag DUE; the rest must miscorrect exactly as the
+    // general solve does.
+    let code = RsMemoryCode::new(8, 144, 2).unwrap();
+    let rs = code.inner();
+    let n = rs.n_symbols();
+    let mut rng = Xs(0x2E88_0D0E);
+    let mut dues = 0u32;
+    let mut trials = 0u32;
+    for erasures in erased_sets(n) {
+        let ctx = rs.combined_context(&erasures);
+        for _ in 0..60 {
+            let mut injected: Vec<(usize, u16)> = erasures
+                .iter()
+                .map(|&p| (p, (rng.next() & 0xFF) as u16))
+                .collect();
+            for p in distinct(&mut rng, n, 2, &erasures) {
+                injected.push((p, 1 + (rng.next() % 255) as u16));
+            }
+            let synd = code.error_syndromes(&injected);
+            let synd = &synd[..4];
+            let got = rs.decode_combined_ctx(synd, &ctx);
+            let want = solve_reference(rs, synd, &erasures);
+            assert_eq!(
+                got.as_ref().map(|c| c.corrections()),
+                want.as_deref(),
+                "erasures {erasures:?}, injected {injected:?}"
+            );
+            trials += 1;
+            dues += u32::from(want.is_none());
+        }
+    }
+    assert!(
+        dues * 2 > trials,
+        "most two-error patterns flag DUE ({dues}/{trials})"
+    );
 }
