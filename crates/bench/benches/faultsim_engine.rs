@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use muse_bench::naive_msed;
 use muse_core::presets;
-use muse_faultsim::{muse_msed, simulate_retention_threaded, MsedConfig, RetentionModel};
+use muse_faultsim::{muse_msed, simulate_retention, MsedConfig, RetentionModel};
 use std::hint::black_box;
 
 const TRIALS: u64 = 20_000;
@@ -48,18 +48,10 @@ fn retention_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("retention_5k_words");
     group.sample_size(10);
     group.bench_function("engine_1_thread", |b| {
-        b.iter(|| {
-            black_box(simulate_retention_threaded(
-                &code, &model, 1024.0, 5_000, 1, 1,
-            ))
-        })
+        b.iter(|| black_box(simulate_retention(&code, &model, 1024.0, 5_000, 1, 1)))
     });
     group.bench_function("engine_all_threads", |b| {
-        b.iter(|| {
-            black_box(simulate_retention_threaded(
-                &code, &model, 1024.0, 5_000, 1, 0,
-            ))
-        })
+        b.iter(|| black_box(simulate_retention(&code, &model, 1024.0, 5_000, 1, 0)))
     });
     group.finish();
 }

@@ -49,7 +49,7 @@ fn retention(c: &mut Criterion) {
     let mut group = c.benchmark_group("retention");
     group.sample_size(20);
     group.bench_function("muse_80_67/500_words", |b| {
-        b.iter(|| black_box(simulate_retention(&code, &model, 1024.0, 500, 1)))
+        b.iter(|| black_box(simulate_retention(&code, &model, 1024.0, 500, 1, 0)))
     });
     group.finish();
 }

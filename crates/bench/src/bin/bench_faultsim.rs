@@ -19,9 +19,9 @@ use std::time::Instant;
 use muse_bench::naive_msed;
 use muse_core::presets;
 use muse_faultsim::{
-    measure_mode_threaded, muse_msed, rs_msed, simulate_attacks_threaded,
-    simulate_retention_threaded, simulate_scrubbing_threaded, simulate_stack_threaded, FailureMode,
-    LineHasher, MsedConfig, RetentionModel, RsDetectMode, ScrubConfig, Stack,
+    measure_mode, muse_msed, rs_msed, simulate_attacks, simulate_retention, simulate_scrubbing,
+    simulate_stack, FailureMode, LineHasher, MsedConfig, RetentionModel, RsDetectMode, ScrubConfig,
+    Stack,
 };
 use muse_rs::RsMemoryCode;
 
@@ -123,10 +123,11 @@ fn main() {
         ..RetentionModel::default()
     };
     let line_trials = trials / 10; // rowhammer episodes are ~8 codewords each
-    let scrub_cfg = |_| ScrubConfig {
+    let scrub_cfg = |threads| ScrubConfig {
         device_fit: 2e6,
         words: trials / 20,
         horizon_hours: 10_000.0,
+        threads,
         ..ScrubConfig::default()
     };
 
@@ -194,7 +195,7 @@ fn main() {
         "retention_muse_80_67",
         trials,
         measure_pair(single_core, |t| {
-            std::hint::black_box(simulate_retention_threaded(
+            std::hint::black_box(simulate_retention(
                 &muse_asym,
                 &retention_model,
                 1024.0,
@@ -209,14 +210,7 @@ fn main() {
         "rowhammer_muse_80_69",
         line_trials,
         measure_pair(single_core, |t| {
-            std::hint::black_box(simulate_attacks_threaded(
-                &muse80,
-                &hasher,
-                8,
-                line_trials,
-                9,
-                t,
-            ));
+            std::hint::black_box(simulate_attacks(&muse80, &hasher, 8, line_trials, 9, t));
         }),
     );
 
@@ -225,7 +219,7 @@ fn main() {
         "ondie_stacked_144_132",
         ondie_words,
         measure_pair(single_core, |t| {
-            std::hint::black_box(simulate_stack_threaded(
+            std::hint::black_box(simulate_stack(
                 Stack::Stacked,
                 Some(&muse),
                 1e-3,
@@ -238,9 +232,9 @@ fn main() {
 
     push(
         "scrub_muse_80_69",
-        scrub_cfg(()).words,
+        scrub_cfg(0).words,
         measure_pair(single_core, |t| {
-            std::hint::black_box(simulate_scrubbing_threaded(&muse80, &scrub_cfg(()), t));
+            std::hint::black_box(simulate_scrubbing(&muse80, &scrub_cfg(t)));
         }),
     );
 
@@ -248,13 +242,7 @@ fn main() {
         "fit_two_devices_144_132",
         trials,
         measure_pair(single_core, |t| {
-            std::hint::black_box(measure_mode_threaded(
-                &muse,
-                FailureMode::TwoDevices,
-                trials,
-                17,
-                t,
-            ));
+            std::hint::black_box(measure_mode(&muse, FailureMode::TwoDevices, trials, 17, t));
         }),
     );
 

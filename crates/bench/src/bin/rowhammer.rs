@@ -15,7 +15,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for flips in [1usize, 2, 4, 8, 16, 32, 64] {
-        let stats = simulate_attacks(&code, &hasher, flips, trials, 0xBEEF);
+        let stats = simulate_attacks(&code, &hasher, flips, trials, 0xBEEF, 0);
         rows.push(vec![
             flips.to_string(),
             stats.blocked_by_ecc.to_string(),

@@ -278,7 +278,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let code = preset(it.next().ok_or_else(|| err("msed needs a preset"))?)?;
             let rest: Vec<&str> = it.collect();
             let trials: u64 = parse_or(&rest, "--trials", 10_000)?;
-            let devices: usize = parse_or(&rest, "--devices", 2)?;
+            let devices = parse_devices(&rest, code.symbol_map().num_symbols())?;
             let threads: usize = parse_or(&rest, "--threads", 0)?;
             let stats = muse_msed(
                 &code,
@@ -308,10 +308,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 return Err(err("--device-bits must be in 1..=16"));
             }
             let trials: u64 = parse_or(&rest, "--trials", 10_000)?;
-            let devices: usize = parse_or(&rest, "--devices", 2)?;
             let threads: usize = parse_or(&rest, "--threads", 0)?;
             let code = muse_rs::RsMemoryCode::new(symbol_bits, 144, t)
                 .map_err(|e| err(format!("bad RS geometry: {e}")))?;
+            let devices = parse_devices(&rest, (code.n_bits() / device_bits) as usize)?;
             let stats = muse_faultsim::rs_msed(
                 &code,
                 device_bits,
@@ -937,6 +937,19 @@ fn parse_or<T: std::str::FromStr>(rest: &[&str], flag: &str, default: T) -> Resu
     }
 }
 
+/// `--devices K` (default 2), rejected outside `1..=num_devices`: zero
+/// failing devices would tally every trial as a silent corruption, and
+/// more than the word holds cannot be injected.
+fn parse_devices(rest: &[&str], num_devices: usize) -> Result<usize, CliError> {
+    let devices: usize = parse_or(rest, "--devices", 2)?;
+    if !(1..=num_devices).contains(&devices) {
+        return Err(err(format!(
+            "--devices must be in 1..={num_devices}, got {devices}"
+        )));
+    }
+    Ok(devices)
+}
+
 /// `--estimator naive|is` plus `--bias <factor>`; `--bias` implies `is`,
 /// and `is` without `--bias` defaults to a 16x rate inflation.
 fn parse_estimator(rest: &[&str]) -> Result<muse_lifetime::Estimator, CliError> {
@@ -1031,6 +1044,32 @@ mod tests {
     fn msed_reports_rate() {
         let out = run_str("msed muse80_69 --trials 500").unwrap();
         assert!(out.contains("% of 500 2-device errors detected"), "{out}");
+    }
+
+    #[test]
+    fn msed_rejects_device_counts_outside_the_word() {
+        // MUSE(144,132) has 36 x4 devices.
+        for bad in ["0", "37", "40"] {
+            let e = run_str(&format!("msed muse144_132 --devices {bad} --trials 10")).unwrap_err();
+            assert!(e.0.contains("--devices must be in 1..=36"), "{e}");
+        }
+        let out = run_str("msed muse144_132 --devices 36 --trials 10").unwrap();
+        assert!(out.contains("% of 10 36-device errors detected"), "{out}");
+        let out = run_str("msed muse144_132 --devices 1 --trials 10").unwrap();
+        assert!(out.contains("(0 miscorrected, 0 silent)"), "{out}");
+    }
+
+    #[test]
+    fn rsmsed_rejects_device_counts_outside_the_word() {
+        // 144 bits of x4 devices = 36; of x8 devices = 18.
+        for (bad, bits) in [("0", 4), ("37", 4), ("19", 8)] {
+            let line = format!("rsmsed --devices {bad} --device-bits {bits} --trials 10");
+            let e = run_str(&line).unwrap_err();
+            let max = 144 / bits;
+            assert!(e.0.contains(&format!("in 1..={max}")), "{e}");
+        }
+        let out = run_str("rsmsed --devices 18 --device-bits 8 --trials 10").unwrap();
+        assert!(out.contains("% of 10 18-device errors detected"), "{out}");
     }
 
     #[test]

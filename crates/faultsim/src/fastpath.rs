@@ -18,24 +18,18 @@
 //!   [`SyndromeKernel`](muse_core::SyndromeKernel) table lookups.
 //!
 //! No wide word — and no payload limb — is ever materialized on this path.
-//! [`TrialPlan`] holds the per-configuration sampling constants and
-//! supports columnar replay: whole blocks of symbol/pattern/content draws
-//! are bulk-filled ([`Bounded32::fill`], [`Rng::fill_u64s`]) and consumed
-//! per trial, which removes the serial RNG dependency between consecutive
-//! trials. The in-module property tests reconstruct wide codewords
-//! consistent with each sampled trial and prove the classification matches
-//! the wide decoder, preset by preset.
+//! [`TrialPlan`] holds the per-configuration sampling constants that
+//! [`CodewordScratch`] trials draw through; the one fully-columnar scheme,
+//! MSED's double-strike [`msed_trial_k2_cols`], instead consumes whole
+//! blocks of bulk-filled draws with no live randomness. The in-module
+//! property tests reconstruct wide codewords consistent with each sampled
+//! trial and prove the classification matches the wide decoder, preset by
+//! preset.
 
 use muse_core::{FastDecode, SyndromeKernel};
 
 use crate::rng::Bounded32;
 use crate::Rng;
-
-/// Maximum simultaneous device failures the fixed-capacity content-space
-/// trial paths support; experiments beyond this route through the
-/// Vec-based distinct samplers in `msed` (still syndrome-domain — the
-/// wide-word fallbacks are retired; any `k ≤ n_devices` is accepted).
-pub(crate) const MAX_STRIKES: usize = 8;
 
 /// Splits raw `u64` draws into 32-bit halves so two bounded samples usually
 /// cost one generator step.
@@ -69,8 +63,6 @@ pub(crate) struct TrialPlan {
     patterns: Vec<Bounded32>,
     /// Per-symbol bit-position samplers over `width`.
     bits: Vec<Bounded32>,
-    /// Check-value sampler over `[0, m)`.
-    x_pick: Bounded32,
 }
 
 impl TrialPlan {
@@ -86,27 +78,7 @@ impl TrialPlan {
             bits: (0..n)
                 .map(|s| Bounded32::new(kernel.symbol_bits(s)))
                 .collect(),
-            x_pick: Bounded32::new(u32::try_from(kernel.modulus()).expect("kernel moduli fit u32")),
         }
-    }
-
-    /// The check-value sampler (uniform over `[0, m)`).
-    #[inline]
-    pub fn x_pick(&self) -> Bounded32 {
-        self.x_pick
-    }
-
-    /// The sampler for distinct-symbol draw `i` (over `n_sym − i`).
-    #[inline]
-    pub fn pick(&self, i: usize) -> Bounded32 {
-        self.picks[i]
-    }
-
-    /// When every symbol shares one width: the common nonzero-pattern
-    /// sampler (add 1 to its samples), enabling columnar pattern fills.
-    pub fn uniform_pattern(&self) -> Option<Bounded32> {
-        let first = *self.patterns.first()?;
-        self.patterns.iter().all(|p| *p == first).then_some(first)
     }
 
     /// Draws one uniformly random symbol index.
@@ -131,20 +103,17 @@ impl TrialPlan {
     }
 
     /// Draws `k` distinct symbols with a fresh nonzero corruption pattern
-    /// each, appending them to the scratch's injection list.
+    /// each, appending them to the scratch's injection list. Any `k` up to
+    /// the plan's `max_k` works; the sorted-choice buffer lives in the
+    /// scratch, so no trial allocates.
     #[inline]
     pub fn inject_distinct(&self, scratch: &mut CodewordScratch, rng: &mut Rng, k: usize) {
         debug_assert!(k <= self.picks.len(), "plan built for fewer strikes");
         let mut halves = HalfDraws::default();
-        let mut sorted = [0usize; MAX_STRIKES];
-        assert!(
-            k <= MAX_STRIKES,
-            "at most {MAX_STRIKES} simultaneous device failures on the fast path"
-        );
         for i in 0..k {
             let half = halves.next(rng);
             let draw = self.picks[i].of_half(rng, half) as usize;
-            let sym = place_distinct(&mut sorted, i, draw);
+            let sym = place_distinct(&mut scratch.chosen, i, draw);
             let pattern = self.pick_pattern(rng, &mut halves, sym);
             scratch.injected.push((sym, pattern));
         }
@@ -155,7 +124,7 @@ impl TrialPlan {
 /// ascending set `chosen[..i]`, inserts it, and returns the chosen index —
 /// direct distinct sampling with no retry loop.
 #[inline]
-pub(crate) fn place_distinct(chosen: &mut [usize; 8], i: usize, mut sym: usize) -> usize {
+pub(crate) fn place_distinct(chosen: &mut [usize], i: usize, mut sym: usize) -> usize {
     // Shift past the already-chosen indices to land on the v-th unchosen
     // one; `chosen` stays sorted, so stopping at the first larger entry is
     // sound.
@@ -192,6 +161,8 @@ pub(crate) struct CodewordScratch {
     /// pattern before pushing) — [`Self::syndrome`] and [`classify`] treat
     /// each entry's pattern as the symbol's *total* flip.
     pub injected: Vec<(usize, u16)>,
+    /// [`TrialPlan::inject_distinct`]'s ascending chosen-symbol buffer.
+    chosen: Vec<usize>,
 }
 
 impl CodewordScratch {
@@ -204,6 +175,7 @@ impl CodewordScratch {
             x: None,
             x_pick: Bounded32::new(u32::try_from(kernel.modulus()).expect("kernel moduli fit u32")),
             injected: Vec::with_capacity(8),
+            chosen: vec![0; n_sym],
         }
     }
 
@@ -230,29 +202,12 @@ impl CodewordScratch {
     }
 
     /// The original (pre-corruption) content of `sym` in the stored word,
-    /// sampled on first observation per trial.
+    /// sampled on first observation per trial. Check-region bits are filled
+    /// from the trial's check value.
     #[inline]
     pub fn content(&mut self, kernel: &SyndromeKernel, rng: &mut Rng, sym: usize) -> u16 {
         if self.stamps[sym] != self.generation {
             let raw = rng.next_u64() as u16;
-            return self.supply_content(kernel, rng, sym, raw);
-        }
-        self.contents[sym]
-    }
-
-    /// Like [`Self::content`], but takes the symbol's raw content bits from
-    /// a pre-filled draw column instead of the live stream (`raw` is
-    /// ignored when the content is already cached this trial). Check-region
-    /// bits are filled from the trial's check value.
-    #[inline]
-    pub fn supply_content(
-        &mut self,
-        kernel: &SyndromeKernel,
-        rng: &mut Rng,
-        sym: usize,
-        raw: u16,
-    ) -> u16 {
-        if self.stamps[sym] != self.generation {
             let content = if kernel.needs_check_value(sym) {
                 let x = self.check_value(rng);
                 kernel.apply_check_bits(sym, raw & kernel.payload_mask(sym), x)
@@ -309,141 +264,6 @@ impl CodewordScratch {
         }
         rem
     }
-}
-
-/// Fixed-capacity record of one columnar-replay trial — the MSED hot path.
-///
-/// Unlike [`CodewordScratch`] (whose content cache lives in per-symbol
-/// vectors), an inline trial keeps its strikes in a small fixed array that
-/// stays in registers when the record is a non-escaping local, so
-/// consecutive trials share no memory traffic and the CPU overlaps their
-/// table lookups. Capacity is [`MAX_STRIKES`] simultaneous device
-/// failures; larger experiments take the Vec-based content path.
-#[derive(Default)]
-pub(crate) struct InlineTrial {
-    /// `(symbol, pattern, content)` per strike.
-    strikes: [(u32, u16, u16); MAX_STRIKES],
-    len: usize,
-    /// Content drawn for a correction target outside the strikes.
-    extra: Option<(u32, u16)>,
-    /// The trial's check value, drawn on first use.
-    x: Option<u64>,
-}
-
-impl InlineTrial {
-    /// The observations of the last trial, in [`CodewordScratch::observed`]
-    /// form, for reference reconstruction.
-    #[cfg(test)]
-    pub fn observed(&self, n_sym: usize) -> (Vec<Option<u16>>, Option<u64>) {
-        let mut observed = vec![None; n_sym];
-        for &(s, _, c) in &self.strikes[..self.len] {
-            observed[s as usize] = Some(c);
-        }
-        if let Some((s, c)) = self.extra {
-            observed[s as usize] = Some(c);
-        }
-        (observed, self.x)
-    }
-
-    /// The strikes of the last trial.
-    #[cfg(test)]
-    pub fn strikes(&self) -> &[(u32, u16, u16)] {
-        &self.strikes[..self.len]
-    }
-}
-
-/// A symbol content assembled from raw uniform bits: payload bits masked to
-/// the symbol width, check-region bits (if any) filled from the trial's
-/// check value, drawn on first use.
-#[inline]
-pub(crate) fn content_from_raw(
-    kernel: &SyndromeKernel,
-    x_pick: Bounded32,
-    rng: &mut Rng,
-    x: &mut Option<u64>,
-    sym: usize,
-    raw: u16,
-) -> u16 {
-    if kernel.needs_check_value(sym) {
-        let xv = match *x {
-            Some(v) => v,
-            None => {
-                let v = x_pick.sample(rng) as u64;
-                *x = Some(v);
-                v
-            }
-        };
-        kernel.apply_check_bits(sym, raw & kernel.payload_mask(sym), xv)
-    } else {
-        raw & kernel.width_mask(sym)
-    }
-}
-
-/// Runs one content-space MSED trial from pre-drawn columns: `draws[i]` is
-/// the `i`-th strike's `(distinct-symbol draw, final nonzero pattern, raw
-/// content bits)`. Classification reproduces the wide decoder bit-for-bit
-/// (property-tested below alongside [`classify`]).
-#[inline(always)]
-pub(crate) fn msed_inline_trial(
-    kernel: &SyndromeKernel,
-    x_pick: Bounded32,
-    rng: &mut Rng,
-    trial: &mut InlineTrial,
-    draws: &[(u32, u16, u16)],
-) -> TrialOutcome {
-    assert!(
-        draws.len() <= MAX_STRIKES,
-        "at most {MAX_STRIKES} simultaneous device failures on the fast path"
-    );
-    let mut resolved = [(0u32, 0u16, 0u16); MAX_STRIKES];
-    let mut chosen = [0usize; MAX_STRIKES];
-    for (i, (&(sym_draw, pattern, raw), slot)) in draws.iter().zip(&mut resolved).enumerate() {
-        let sym = place_distinct(&mut chosen, i, sym_draw as usize);
-        *slot = (sym as u32, pattern, raw);
-    }
-    msed_inline_trial_resolved(kernel, x_pick, rng, trial, &resolved[..draws.len()])
-}
-
-/// [`msed_inline_trial`] with the distinct-symbol resolution already done:
-/// `draws[i]` carries the `i`-th strike's final symbol index instead of its
-/// distinct draw. The lane kernel's ordered replay enters here — its lane
-/// pass resolved every symbol up front — drawing live randomness in exactly
-/// the places (and order) the draw-for-draw scalar path would.
-///
-/// `inline(always)`: both callers are per-trial hot loops, and a real call
-/// here forces the strike array through memory (measured ~2× on the MSED
-/// columnar path).
-#[inline(always)]
-pub(crate) fn msed_inline_trial_resolved(
-    kernel: &SyndromeKernel,
-    x_pick: Bounded32,
-    rng: &mut Rng,
-    trial: &mut InlineTrial,
-    draws: &[(u32, u16, u16)],
-) -> TrialOutcome {
-    assert!(
-        draws.len() <= MAX_STRIKES,
-        "at most {MAX_STRIKES} simultaneous device failures on the fast path"
-    );
-    trial.x = None;
-    trial.extra = None;
-    trial.len = draws.len();
-    let mut rem = 0u64;
-    for (i, &(sym, pattern, raw)) in draws.iter().enumerate() {
-        let content = content_from_raw(kernel, x_pick, rng, &mut trial.x, sym as usize, raw);
-        rem = kernel.add_mod(rem, kernel.flip_delta(sym as usize, content, pattern));
-        trial.strikes[i] = (sym, pattern, content);
-    }
-    let (outcome, extra) = classify_strikes(
-        kernel,
-        x_pick,
-        rng,
-        &trial.strikes[..draws.len()],
-        rem,
-        &mut trial.x,
-    );
-    trial.extra = extra;
-    outcome
 }
 
 /// One double-strike MSED trial from the k = 2 fully-columnar draw scheme,
@@ -531,64 +351,6 @@ pub(crate) fn msed_trial_k2_cols(
     }
 }
 
-/// The classification tail shared by [`msed_inline_trial`] and the
-/// two-phase block loop in `muse_msed`: given a trial's strikes (with their
-/// contents) and accumulated syndrome, the exact decode outcome. Returns
-/// any content freshly sampled for a correction target outside the strikes.
-#[inline]
-pub(crate) fn classify_strikes(
-    kernel: &SyndromeKernel,
-    x_pick: Bounded32,
-    rng: &mut Rng,
-    strikes: &[(u32, u16, u16)],
-    rem: u64,
-    x: &mut Option<u64>,
-) -> (TrialOutcome, Option<(u32, u16)>) {
-    if rem == 0 {
-        let intact = strikes
-            .iter()
-            .all(|&(s, p, _)| p & kernel.payload_mask(s as usize) == 0);
-        return if intact {
-            (TrialOutcome::CleanIntact, None)
-        } else {
-            (TrialOutcome::CleanCorrupted, None)
-        };
-    }
-    match kernel.classify(rem) {
-        FastDecode::Clean => unreachable!("nonzero remainder"),
-        FastDecode::Detected => (TrialOutcome::Detected, None),
-        FastDecode::Correct { symbol } => {
-            let mut extra = None;
-            let (original, injected_pattern) =
-                match strikes.iter().find(|&&(s, _, _)| s as usize == symbol) {
-                    Some(&(_, p, c)) => (c, p),
-                    None => {
-                        let raw = rng.next_u64() as u16;
-                        let c = content_from_raw(kernel, x_pick, rng, x, symbol, raw);
-                        extra = Some((symbol as u32, c));
-                        (c, 0)
-                    }
-                };
-            let outcome = match kernel.correct(rem, original ^ injected_pattern) {
-                None => TrialOutcome::Detected,
-                Some(corrected) => {
-                    let payload_restored = (corrected ^ original) & kernel.payload_mask(symbol)
-                        == 0
-                        && strikes.iter().all(|&(s, p, _)| {
-                            s as usize == symbol || p & kernel.payload_mask(s as usize) == 0
-                        });
-                    if payload_restored {
-                        TrialOutcome::CorrectedRight
-                    } else {
-                        TrialOutcome::Miscorrected
-                    }
-                }
-            };
-            (outcome, extra)
-        }
-    }
-}
-
 /// Exact decode outcome of one corrupted word, in residue space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TrialOutcome {
@@ -615,18 +377,6 @@ pub(crate) fn classify(
     rng: &mut Rng,
 ) -> TrialOutcome {
     let rem = scratch.syndrome(kernel, rng);
-    classify_rem(kernel, scratch, rng, rem)
-}
-
-/// [`classify`] with the syndrome already accumulated (the columnar hot
-/// loops fold the syndrome while injecting).
-#[inline]
-pub(crate) fn classify_rem(
-    kernel: &SyndromeKernel,
-    scratch: &mut CodewordScratch,
-    rng: &mut Rng,
-    rem: u64,
-) -> TrialOutcome {
     if rem == 0 {
         let intact = scratch
             .injected
@@ -932,59 +682,6 @@ mod tests {
         }
     }
 
-    /// The inline (columnar-replay) MSED path against the wide decoder:
-    /// same reconstruction as `sampled_trials_match_wide_decoder`, driving
-    /// `msed_inline_trial` the way `muse_msed`'s hot loop does.
-    #[test]
-    fn inline_trials_match_wide_decoder() {
-        for code in preset_codes() {
-            let Some(kernel) = code.kernel() else {
-                continue;
-            };
-            let plan = TrialPlan::new(kernel, 3);
-            let Some(uniform) = plan.uniform_pattern() else {
-                continue;
-            };
-            let mut trial = InlineTrial::default();
-            let mut rng = Rng::seeded(0x1221);
-            let mut reconstructed = 0u32;
-            for t in 0..400 {
-                let k = 1 + (t % 3);
-                let mut draws = [(0u32, 0u16, 0u16); 8];
-                for (i, draw) in draws[..k].iter_mut().enumerate() {
-                    *draw = (
-                        plan.pick(i).sample(&mut rng),
-                        1 + uniform.sample(&mut rng) as u16,
-                        rng.next_u64() as u16,
-                    );
-                }
-                let fast =
-                    msed_inline_trial(kernel, plan.x_pick(), &mut rng, &mut trial, &draws[..k]);
-
-                let (observed, x) = trial.observed(kernel.num_symbols());
-                let Some(cw) = reconstruct(&code, &observed, x) else {
-                    continue;
-                };
-                reconstructed += 1;
-                let payload = code.payload_of(&cw);
-                let mut corrupted = cw;
-                for &(sym, pattern, _) in trial.strikes() {
-                    code.symbol_map().apply_xor_pattern(
-                        &mut corrupted,
-                        sym as usize,
-                        pattern as u64,
-                    );
-                }
-                check_outcome(code.name(), t, fast, code.decode(&corrupted), payload);
-            }
-            assert!(
-                reconstructed >= 300,
-                "{}: only {reconstructed}/400 inline trials reconstructable",
-                code.name()
-            );
-        }
-    }
-
     /// The fully-columnar k = 2 trial against the wide decoder: sample the
     /// four pre-drawn columns the way `muse_msed` fills them, reconstruct a
     /// codeword consistent with every observation, and compare outcomes —
@@ -995,11 +692,10 @@ mod tests {
             let Some(kernel) = code.kernel() else {
                 continue;
             };
-            let plan = TrialPlan::new(kernel, 2);
-            if plan.uniform_pattern().is_none() {
+            let n = kernel.num_symbols() as u32;
+            if (0..n as usize).any(|s| kernel.symbol_bits(s) != kernel.symbol_bits(0)) {
                 continue;
             }
-            let n = kernel.num_symbols() as u32;
             let pb = (1u32 << kernel.symbol_bits(0)) - 1;
             let bound = n as u64 * (n - 1) as u64 * pb as u64 * pb as u64;
             if bound > u32::MAX as u64 {

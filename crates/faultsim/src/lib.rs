@@ -101,24 +101,17 @@ pub(crate) fn require_kernel<'a>(
         )
     })
 }
-pub use fit::{
-    measure_mode, measure_mode_threaded, project_fit, FailureMode, FitProjection, ModeOutcome,
-};
+pub use fit::{measure_mode, project_fit, FailureMode, FitProjection, ModeOutcome};
 #[doc(hidden)]
 pub use msed::muse_msed_scalar;
 pub use msed::{muse_msed, random_payload, rs_msed, MsedConfig, MsedStats, Outcome, RsDetectMode};
-pub use ondie::{simulate_stack, simulate_stack_threaded, OndieStats, Stack};
+pub use ondie::{simulate_stack, OndieStats, Stack};
 pub use retention::{
     analytic_uncorrectable_probability, relative_refresh_power, simulate_retention,
-    simulate_retention_threaded, sweep_refresh_intervals, RetentionModel, RetentionStats,
-    SweepPoint,
+    sweep_refresh_intervals, RetentionModel, RetentionStats, SweepPoint,
 };
 pub use rng::{Bounded32, CountCdf, Rng};
 pub use rowhammer::{
-    simulate_attacks, simulate_attacks_threaded, AttackStats, HashedLine, LineError, LineHasher,
-    HASH_BITS, WORDS_PER_LINE,
+    simulate_attacks, AttackStats, HashedLine, LineError, LineHasher, HASH_BITS, WORDS_PER_LINE,
 };
-pub use scrub::{
-    analytic_overlap_probability, simulate_scrubbing, simulate_scrubbing_threaded, ScrubConfig,
-    ScrubStats,
-};
+pub use scrub::{analytic_overlap_probability, simulate_scrubbing, ScrubConfig, ScrubStats};

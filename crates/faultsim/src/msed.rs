@@ -7,22 +7,29 @@
 //! reports an uncorrectable error. Clean decodes (syndrome aliased to zero)
 //! and miscorrections are undetected.
 //!
-//! The MUSE path runs on the [`SimEngine`] with the incremental
+//! The MUSE simulator runs on the [`SimEngine`] with the incremental
 //! residue-syndrome kernel: no codeword is ever built — a trial draws the
 //! contents of the symbols it corrupts, accumulates the syndrome with
 //! per-symbol table lookups, and finishes with a fast-ELC transition check
-//! (see [`muse_core::SyndromeKernel`]). The dominant `k = 2` case is
-//! fully columnar: each engine block pre-fills four flat draw columns —
-//! one *quad* draw packing both distinct symbol indices and both nonzero
-//! patterns into a single bounded integer, two raw contents, an
-//! unconditional check value, and an outside-strike correction content —
-//! so a trial's outcome is a pure function of its column entries with no
-//! live PRNG in the hot loop. On uniform affine layouts those columns
-//! feed the structure-of-arrays lane kernel ([`crate::lanes`], with an
-//! optional AVX2 specialization behind the `simd` feature); everywhere
-//! else a scalar walk consumes the *same* columns, so the stream — and
-//! therefore every tally — is identical on both paths and bit-identical
-//! at any `threads` setting.
+//! (see [`muse_core::SyndromeKernel`]). [`muse_msed`] has exactly two
+//! trial paths, chosen by one gate, `k2_quad_bound`:
+//!
+//! * **k = 2 on a uniform-width layout** (Table IV's case) is fully
+//!   columnar: each engine block pre-fills four flat draw columns — one
+//!   *quad* draw packing both distinct symbol indices and both nonzero
+//!   patterns into a single bounded integer, two raw contents, an
+//!   unconditional check value, and an outside-strike correction content —
+//!   so a trial's outcome is a pure function of its column entries with no
+//!   live PRNG in the hot loop. On uniform affine layouts those columns
+//!   feed the structure-of-arrays lane kernel ([`crate::lanes`], with an
+//!   optional AVX2 specialization behind the `simd` feature); elsewhere the
+//!   scalar oracle consumes the *same* columns, so every tally is identical
+//!   on both.
+//! * **Everything else** (any other `k`, mixed widths) runs one generic
+//!   syndrome-domain loop: distinct strikes drawn through a per-worker
+//!   scratch, classified with lazily sampled contents.
+//!
+//! Both paths are bit-identical at any `threads` setting.
 
 use muse_core::{MuseCode, Word};
 use muse_rs::RsMemoryCode;
@@ -31,8 +38,7 @@ use muse_rs::RsMemoryDecoded;
 
 use crate::engine::{SimEngine, Tally};
 use crate::fastpath::{
-    self, classify, msed_inline_trial, msed_trial_k2_cols, place_distinct, CodewordScratch,
-    InlineTrial, TrialOutcome, TrialPlan,
+    classify, msed_trial_k2_cols, place_distinct, CodewordScratch, TrialOutcome, TrialPlan,
 };
 use crate::lanes::{LaneBuffers, LaneKernel};
 use crate::rng::Bounded32;
@@ -138,6 +144,12 @@ impl Default for MsedConfig {
 /// Devices are the code's symbols. Each trial corrupts `failing_devices`
 /// distinct symbols with independent uniform non-identity bit patterns.
 ///
+/// Two trial paths, selected only by `k2_quad_bound`: k = 2 on a
+/// uniform-width layout takes the quad-columnar path (lane kernel, or its
+/// scalar oracle where the lanes refuse the layout); every other
+/// experiment — any `k ≤` the symbol count, mixed widths — takes one
+/// generic syndrome-domain loop.
+///
 /// # Examples
 ///
 /// ```
@@ -150,83 +162,44 @@ impl Default for MsedConfig {
 /// // Table IV reports 86.71% for this code; the estimate lands nearby.
 /// assert!(stats.detection_rate() > 75.0 && stats.detection_rate() < 95.0);
 /// ```
+///
+/// # Panics
+///
+/// Panics if `failing_devices` exceeds the code's symbol count.
 pub fn muse_msed(code: &MuseCode, config: MsedConfig) -> MsedStats {
-    let engine = SimEngine::new(config.threads);
     let kernel = crate::require_kernel(code, "MSED");
-    if config.failing_devices > fastpath::MAX_STRIKES {
-        // Beyond the fixed-capacity inline arrays: draws go through the
-        // Vec-based distinct sampler instead of the columnar fills, but
-        // classification stays in the syndrome domain — no codeword is
-        // ever materialized on any strike count.
-        let n_sym = kernel.num_symbols();
-        assert!(
-            config.failing_devices <= n_sym,
-            "cannot corrupt {} of {n_sym} devices",
-            config.failing_devices
-        );
-        return engine.run_blocked(
-            config.seed,
-            config.trials,
-            || CodewordScratch::new(kernel),
-            |range, rng, scratch, stats: &mut MsedStats| {
-                for _ in range {
-                    scratch.begin_trial();
-                    for sym in rng.choose_k(n_sym, config.failing_devices) {
-                        let pattern = rng.nonzero_below(1 << kernel.symbol_bits(sym)) as u16;
-                        scratch.injected.push((sym, pattern));
-                    }
-                    stats.record(match classify(kernel, scratch, rng) {
-                        TrialOutcome::CleanIntact | TrialOutcome::CleanCorrupted => Outcome::Silent,
-                        TrialOutcome::Detected => Outcome::Detected,
-                        TrialOutcome::CorrectedRight => Outcome::Corrected,
-                        TrialOutcome::Miscorrected => Outcome::Miscorrected,
-                    });
-                }
-            },
-        );
-    }
     let k = config.failing_devices;
-    let plan = TrialPlan::new(kernel, k);
-    let Some(uniform_pattern) = plan.uniform_pattern() else {
-        // Mixed symbol widths: patterns cannot be column-filled ahead of
-        // the symbol draw, so run the generic content-space path.
-        return engine.run_blocked(
-            config.seed,
-            config.trials,
-            || CodewordScratch::new(kernel),
-            |range, rng, scratch, stats: &mut MsedStats| {
-                for _ in range {
-                    scratch.begin_trial();
-                    plan.inject_distinct(scratch, rng, k);
-                    stats.record(match classify(kernel, scratch, rng) {
-                        TrialOutcome::CleanIntact | TrialOutcome::CleanCorrupted => Outcome::Silent,
-                        TrialOutcome::Detected => Outcome::Detected,
-                        TrialOutcome::CorrectedRight => Outcome::Corrected,
-                        TrialOutcome::Miscorrected => Outcome::Miscorrected,
-                    });
-                }
-            },
-        );
-    };
-    if k == 2 {
-        if let Some(quad_bound) = k2_quad_bound(kernel) {
-            // The canonical double-symbol experiment: the fully-columnar
-            // quad-packed draw scheme, lane-kernel accelerated where the
-            // layout allows.
-            return muse_msed_columnar_k2(kernel, quad_bound, config, false);
-        }
+    if let Some(quad_bound) = k2_quad_bound(kernel, k) {
+        return muse_msed_columnar_k2(kernel, quad_bound, config, false);
     }
-    muse_msed_columnar_scalar(kernel, &plan, uniform_pattern, k, config)
+    let plan = TrialPlan::new(kernel, k);
+    SimEngine::new(config.threads).run_blocked(
+        config.seed,
+        config.trials,
+        || CodewordScratch::new(kernel),
+        |range, rng, scratch, stats: &mut MsedStats| {
+            for _ in range {
+                scratch.begin_trial();
+                plan.inject_distinct(scratch, rng, k);
+                stats.record(outcome_of(classify(kernel, scratch, rng)));
+            }
+        },
+    )
 }
 
-/// The k = 2 quad-draw bound `n(n−1)·(2^w−1)²` when it fits a `u32` — the
-/// applicability gate of the fully-columnar scheme. `None` (a geometry far
-/// past any real preset) sends k = 2 down the generic per-strike columnar
-/// path instead.
-fn k2_quad_bound(kernel: &muse_core::SyndromeKernel) -> Option<u32> {
-    let n = kernel.num_symbols() as u64;
-    let pb = (1u64 << kernel.symbol_bits(0)) - 1;
-    u32::try_from(n * (n - 1) * pb * pb).ok()
+/// The single path gate of [`muse_msed`]: the k = 2 quad-draw bound
+/// `n(n−1)·(2^w−1)²` when `k = 2`, every symbol shares one width `w`, and
+/// the bound fits a `u32`. `Some` selects the quad-columnar path; `None`
+/// (any other `k`, mixed widths, or a geometry far past any real preset)
+/// selects the generic syndrome-domain loop.
+fn k2_quad_bound(kernel: &muse_core::SyndromeKernel, k: usize) -> Option<u32> {
+    let n = kernel.num_symbols();
+    let w = kernel.symbol_bits(0);
+    if k != 2 || (1..n).any(|s| kernel.symbol_bits(s) != w) {
+        return None;
+    }
+    let pb = (1u64 << w) - 1;
+    u32::try_from(n as u64 * (n as u64 - 1) * pb * pb).ok()
 }
 
 /// The k = 2 columnar path: four bulk-filled draw columns per engine block
@@ -308,85 +281,20 @@ fn outcome_of(outcome: TrialOutcome) -> Outcome {
     }
 }
 
-/// The scalar columnar path for strike counts other than 2: per-strike
-/// column fills consumed one trial at a time through
-/// [`msed_inline_trial`], with lazily drawn check values. (The k = 2 hot
-/// path uses the pair-packed fully-columnar scheme in
-/// [`muse_msed_columnar_k2`] instead.)
-fn muse_msed_columnar_scalar(
-    kernel: &muse_core::SyndromeKernel,
-    plan: &TrialPlan,
-    uniform_pattern: Bounded32,
-    k: usize,
-    config: MsedConfig,
-) -> MsedStats {
-    const BLOCK: usize = SimEngine::TRIAL_BLOCK as usize;
-    let content16 = crate::rng::Bounded32::new(1 << 16);
-    SimEngine::new(config.threads).run_blocked(
-        config.seed,
-        config.trials,
-        || {
-            (
-                vec![0u32; k * BLOCK],
-                vec![0u32; k * BLOCK],
-                vec![0u32; k * BLOCK],
-            )
-        },
-        |range, rng, (sym_col, pat_col, cnt_col), stats: &mut MsedStats| {
-            let len = (range.end - range.start) as usize;
-            for i in 0..k {
-                plan.pick(i).fill(rng, &mut sym_col[i * len..(i + 1) * len]);
-            }
-            uniform_pattern.fill(rng, &mut pat_col[..k * len]);
-            content16.fill(rng, &mut cnt_col[..k * len]);
-            let mut draws = [(0u32, 0u16, 0u16); fastpath::MAX_STRIKES];
-            for t in 0..len {
-                for (i, draw) in draws[..k].iter_mut().enumerate() {
-                    *draw = (
-                        sym_col[i * len + t],
-                        1 + pat_col[i * len + t] as u16,
-                        cnt_col[i * len + t] as u16,
-                    );
-                }
-                // A fresh trial record per trial: local and non-escaping,
-                // so its stores stay in registers.
-                let mut trial = InlineTrial::default();
-                stats.record(outcome_of(msed_inline_trial(
-                    kernel,
-                    plan.x_pick(),
-                    rng,
-                    &mut trial,
-                    &draws[..k],
-                )));
-            }
-        },
-    )
-}
-
-/// [`muse_msed`] forced down the draw-for-draw scalar columnar path — the
-/// lane kernel's bit-exactness oracle. Not part of the public API; exposed
-/// for the `lane_equivalence` integration suite (and anyone auditing the
-/// SIMD path), which asserts `muse_msed == muse_msed_scalar` tally-for-tally
-/// on every preset, trial count, and thread count.
+/// [`muse_msed`] with the lane kernel switched off — the lane kernel's
+/// bit-exactness oracle. Not part of the public API; exposed for the
+/// `lane_equivalence` integration suite (and anyone auditing the SIMD
+/// path), which asserts `muse_msed == muse_msed_scalar` tally-for-tally.
+///
+/// Where `k2_quad_bound` passes, this runs the quad-columnar path through
+/// its draw-for-draw scalar oracle; everywhere else `muse_msed` never
+/// touches the lanes, so this *is* `muse_msed`.
 #[doc(hidden)]
 pub fn muse_msed_scalar(code: &MuseCode, config: MsedConfig) -> MsedStats {
     let kernel = crate::require_kernel(code, "MSED");
-    let k = config.failing_devices;
-    assert!(
-        k <= fastpath::MAX_STRIKES,
-        "the scalar reference covers the fixed-capacity path only"
-    );
-    let plan = TrialPlan::new(kernel, k);
-    match plan.uniform_pattern() {
-        // Mixed-width layouts never take the lane kernel; the public entry
-        // point already runs the scalar path.
+    match k2_quad_bound(kernel, config.failing_devices) {
+        Some(quad_bound) => muse_msed_columnar_k2(kernel, quad_bound, config, true),
         None => muse_msed(code, config),
-        Some(_) if k == 2 && k2_quad_bound(kernel).is_some() => {
-            muse_msed_columnar_k2(kernel, k2_quad_bound(kernel).unwrap(), config, true)
-        }
-        Some(uniform_pattern) => {
-            muse_msed_columnar_scalar(kernel, &plan, uniform_pattern, k, config)
-        }
     }
 }
 
@@ -402,6 +310,11 @@ pub enum RsDetectMode {
     /// flags it (the reading that matches the paper's Table IV numbers).
     DeviceConfined,
 }
+
+/// Strike capacity of [`rs_msed`]'s fixed-capacity columnar path; larger
+/// experiments take its Vec-based distinct sampler (same error-domain
+/// classification, any `k ≤ n_devices`).
+const MAX_STRIKES: usize = 8;
 
 /// Estimates the MSED rate of a Reed-Solomon memory code against
 /// `device_bits`-wide physical device failures (x4 ⇒ 4).
@@ -425,7 +338,7 @@ pub fn rs_msed(
     let ctx = RsFastMsed::new(code, device_bits, mode);
     let k = config.failing_devices;
     assert!(k <= n_devices, "cannot corrupt {k} of {n_devices} devices");
-    if k > fastpath::MAX_STRIKES {
+    if k > MAX_STRIKES {
         // Beyond the fixed-capacity arrays: Vec-based distinct sampling,
         // same error-domain classification backend.
         return SimEngine::new(config.threads).run_blocked(
@@ -465,8 +378,8 @@ pub fn rs_msed(
             }
             pattern_pick.fill(rng, &mut pat_col[..k * len]);
             for t in 0..len {
-                let mut chosen = [0usize; fastpath::MAX_STRIKES];
-                let mut strikes = [(0usize, 0u16); fastpath::MAX_STRIKES];
+                let mut chosen = [0usize; MAX_STRIKES];
+                let mut strikes = [(0usize, 0u16); MAX_STRIKES];
                 for (i, strike) in strikes[..k].iter_mut().enumerate() {
                     let dev = place_distinct(&mut chosen, i, dev_col[i * len + t] as usize);
                     *strike = (dev, 1 + pat_col[i * len + t] as u16);
@@ -559,7 +472,7 @@ impl<'a> RsFastMsed<'a> {
             // Devices nest inside symbols: each strike lands in exactly one
             // symbol, so `MAX_STRIKES` entries suffice and the per-trial
             // scratch shrinks from 64 slots (1 KiB of zeroing) to 8.
-            let mut errors = [(0usize, 0u16); fastpath::MAX_STRIKES];
+            let mut errors = [(0usize, 0u16); MAX_STRIKES];
             let mut n_errors = 0usize;
             for &(dev, pattern) in strikes {
                 let (sym, shift) = self.splits[dev];
@@ -883,9 +796,9 @@ mod tests {
 
     #[test]
     fn many_failing_devices_take_the_generic_content_path() {
-        // k beyond the fixed-capacity inline arrays routes through the
-        // Vec-based distinct sampler — still syndrome-domain, no wide
-        // words, no panic.
+        // Strike counts far past Table IV's k = 2: MUSE takes its generic
+        // syndrome-domain loop, RS its Vec-based distinct sampler — no
+        // wide words, no panic.
         let config = MsedConfig {
             failing_devices: 10,
             trials: 200,

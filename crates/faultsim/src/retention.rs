@@ -103,21 +103,9 @@ impl Tally for RetentionStats {
 /// 1-bit independently discharges with the model's probability; each word is
 /// then decoded.
 ///
-/// Runs on the [`SimEngine`] (one worker per CPU) with residue-space
-/// decoding — see [`simulate_retention_threaded`] for explicit thread
-/// control. Results are bit-identical at any thread count.
+/// Runs on the [`SimEngine`] over `threads` workers (0 ⇒ one per CPU) with
+/// residue-space decoding. Results are bit-identical at any thread count.
 pub fn simulate_retention(
-    code: &MuseCode,
-    model: &RetentionModel,
-    t_ms: f64,
-    words: u64,
-    seed: u64,
-) -> RetentionStats {
-    simulate_retention_threaded(code, model, t_ms, words, seed, 0)
-}
-
-/// [`simulate_retention`] with an explicit worker count (0 ⇒ all CPUs).
-pub fn simulate_retention_threaded(
     code: &MuseCode,
     model: &RetentionModel,
     t_ms: f64,
@@ -225,7 +213,7 @@ pub fn sweep_refresh_intervals(
         .map(|(i, &t_ms)| SweepPoint {
             t_ms,
             cell_p: model.cell_failure_probability(t_ms),
-            stats: simulate_retention(code, model, t_ms, words, seed ^ (i as u64) << 32),
+            stats: simulate_retention(code, model, t_ms, words, seed ^ (i as u64) << 32, 0),
             refresh_power: relative_refresh_power(model, t_ms),
         })
         .collect()
@@ -265,7 +253,7 @@ mod tests {
     #[test]
     fn nominal_interval_is_error_free() {
         let code = presets::muse_80_67();
-        let stats = simulate_retention(&code, &RetentionModel::default(), 64.0, 200, 3);
+        let stats = simulate_retention(&code, &RetentionModel::default(), 64.0, 200, 3, 0);
         assert_eq!(stats.clean, 200);
         assert_eq!(stats.uber(), 0.0);
     }
@@ -280,7 +268,7 @@ mod tests {
             weak_fraction: 2e-3,
             ..RetentionModel::default()
         };
-        let stats = simulate_retention(&code, &model, 2048.0, 2_000, 7);
+        let stats = simulate_retention(&code, &model, 2048.0, 2_000, 7, 0);
         assert!(stats.corrected > 50, "expected many corrected words");
         // Single-device losses always heal; only the rare multi-device
         // coincidences may miscorrect, and nothing slips through silently.
@@ -311,7 +299,7 @@ mod tests {
         let t = 4096.0;
         let cell_p = model.cell_failure_probability(t);
         let analytic = analytic_uncorrectable_probability(&code, cell_p);
-        let stats = simulate_retention(&code, &model, t, 4_000, 13);
+        let stats = simulate_retention(&code, &model, t, 4_000, 13, 0);
         let measured = stats.uber();
         assert!(
             measured <= analytic * 4.0 + 0.01 && analytic <= measured * 4.0 + 0.01,

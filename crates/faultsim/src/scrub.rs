@@ -29,6 +29,9 @@ pub struct ScrubConfig {
     pub words: u64,
     /// PRNG seed.
     pub seed: u64,
+    /// Worker threads (0 ⇒ one per available CPU). Tallies are
+    /// bit-identical at any value.
+    pub threads: usize,
 }
 
 impl Default for ScrubConfig {
@@ -39,6 +42,7 @@ impl Default for ScrubConfig {
             horizon_hours: 5.0 * 365.0 * 24.0, // five years
             words: 10_000,
             seed: 0x5C2B,
+            threads: 0,
         }
     }
 }
@@ -65,13 +69,8 @@ impl Tally for ScrubStats {
 /// masks any single faulty device between scrubs, so only same-interval
 /// overlaps count as failures.
 ///
-/// Each word's full timeline is one engine trial, batched across workers
-/// (bit-identical results at any thread count).
-pub fn simulate_scrubbing(code: &MuseCode, config: &ScrubConfig) -> ScrubStats {
-    simulate_scrubbing_threaded(code, config, 0)
-}
-
-/// [`simulate_scrubbing`] with an explicit worker count (0 ⇒ all CPUs).
+/// Each word's full timeline is one engine trial, batched across
+/// `config.threads` workers (bit-identical results at any thread count).
 ///
 /// An interval only ever contributes one of three outcomes — no fault, one
 /// faulty device (scrubbed), or an overlap (≥ 2) — so instead of `devices`
@@ -81,11 +80,7 @@ pub fn simulate_scrubbing(code: &MuseCode, config: &ScrubConfig) -> ScrubStats {
 /// 64-bit draw keeps ~`2⁻⁶⁴` probability resolution: overlap rates at
 /// field-realistic FIT inputs are far below `2⁻³²`, so narrower draws
 /// would floor exactly the rare events this study measures.
-pub fn simulate_scrubbing_threaded(
-    code: &MuseCode,
-    config: &ScrubConfig,
-    threads: usize,
-) -> ScrubStats {
+pub fn simulate_scrubbing(code: &MuseCode, config: &ScrubConfig) -> ScrubStats {
     let devices = code.symbol_map().num_symbols();
     let p_fault = (config.device_fit * config.scrub_interval_hours / 1e9).min(1.0);
     let intervals = (config.horizon_hours / config.scrub_interval_hours).ceil() as u64;
@@ -103,7 +98,7 @@ pub fn simulate_scrubbing_threaded(
     };
     let t0 = threshold(p0);
     let t1 = threshold((p0 + p1).min(1.0));
-    SimEngine::new(threads).run_blocked(
+    SimEngine::new(config.threads).run_blocked(
         config.seed,
         config.words,
         || vec![0u64; 256],
@@ -181,6 +176,7 @@ mod tests {
             horizon_hours: 50_000.0,
             words: 300,
             seed: 9,
+            threads: 0,
         };
         let stats = simulate_scrubbing(&code, &config);
         let intervals = (config.horizon_hours / config.scrub_interval_hours).ceil();

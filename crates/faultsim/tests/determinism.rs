@@ -6,9 +6,9 @@
 
 use muse_core::presets;
 use muse_faultsim::{
-    measure_mode_threaded, muse_msed, rs_msed, simulate_attacks_threaded,
-    simulate_retention_threaded, simulate_scrubbing_threaded, simulate_stack_threaded, FailureMode,
-    LineHasher, MsedConfig, RetentionModel, RsDetectMode, ScrubConfig, Stack,
+    measure_mode, muse_msed, rs_msed, simulate_attacks, simulate_retention, simulate_scrubbing,
+    simulate_stack, FailureMode, LineHasher, MsedConfig, RetentionModel, RsDetectMode, ScrubConfig,
+    Stack,
 };
 use muse_rs::RsMemoryCode;
 
@@ -107,7 +107,7 @@ fn retention_identical_across_thread_counts() {
         weak_fraction: 2e-3,
         ..RetentionModel::default()
     };
-    let run = |threads| simulate_retention_threaded(&code, &model, 2048.0, 3_000, 7, threads);
+    let run = |threads| simulate_retention(&code, &model, 2048.0, 3_000, 7, threads);
     let serial = run(1);
     assert!(serial.corrected > 0, "exercise the correction path");
     for threads in [2, 4] {
@@ -126,7 +126,7 @@ fn retention_identical_across_thread_counts() {
 fn rowhammer_identical_across_thread_counts() {
     let code = presets::muse_80_69();
     let hasher = LineHasher::new(0x5117, 0x1d3a);
-    let run = |threads| simulate_attacks_threaded(&code, &hasher, 8, 1_500, 99, threads);
+    let run = |threads| simulate_attacks(&code, &hasher, 8, 1_500, 99, threads);
     let serial = run(1);
     assert_eq!(serial.total(), 1_500);
     for threads in [3, 4] {
@@ -144,8 +144,7 @@ fn rowhammer_identical_across_thread_counts() {
 #[test]
 fn ondie_identical_across_thread_counts() {
     let code = presets::muse_144_132();
-    let run =
-        |threads| simulate_stack_threaded(Stack::Stacked, Some(&code), 2e-3, 3_000, 5, threads);
+    let run = |threads| simulate_stack(Stack::Stacked, Some(&code), 2e-3, 3_000, 5, threads);
     let serial = run(1);
     assert_eq!(serial.total(), 3_000);
     assert!(serial.due + serial.sdc > 0, "exercise failure paths");
@@ -158,8 +157,8 @@ fn ondie_identical_across_thread_counts() {
         );
     }
     // The rank-less fast path too.
-    let serial = simulate_stack_threaded(Stack::OnDieOnly, None, 2e-3, 2_000, 6, 1);
-    let parallel = simulate_stack_threaded(Stack::OnDieOnly, None, 2e-3, 2_000, 6, 4);
+    let serial = simulate_stack(Stack::OnDieOnly, None, 2e-3, 2_000, 6, 1);
+    let parallel = simulate_stack(Stack::OnDieOnly, None, 2e-3, 2_000, 6, 4);
     assert_eq!(
         (serial.intact, serial.due, serial.sdc),
         (parallel.intact, parallel.due, parallel.sdc)
@@ -175,7 +174,7 @@ fn scrub_identical_across_thread_counts() {
         horizon_hours: 10_000.0,
         ..ScrubConfig::default()
     };
-    let run = |threads| simulate_scrubbing_threaded(&code, &config, threads);
+    let run = |threads| simulate_scrubbing(&code, &ScrubConfig { threads, ..config });
     let serial = run(1);
     assert!(serial.scrubbed_faults > 0 && serial.overlap_failures > 0);
     for threads in [2, 4] {
@@ -191,7 +190,7 @@ fn scrub_identical_across_thread_counts() {
 #[test]
 fn fit_identical_across_thread_counts() {
     let code = presets::muse_144_132();
-    let run = |threads| measure_mode_threaded(&code, FailureMode::TwoDevices, 3_000, 17, threads);
+    let run = |threads| measure_mode(&code, FailureMode::TwoDevices, 3_000, 17, threads);
     let serial = run(1);
     for threads in [2, 4] {
         let parallel = run(threads);
@@ -205,26 +204,29 @@ fn fit_identical_across_thread_counts() {
 
 #[test]
 fn beyond_capacity_strike_counts_stay_deterministic() {
-    // Strike counts beyond the fixed-capacity inline arrays route through
-    // the Vec-based distinct sampler (the wide-word fallbacks are retired):
-    // still syndrome-domain, still bit-identical across thread counts.
+    // Every MUSE strike count but Table IV's k = 2 runs the generic
+    // syndrome-domain loop, and RS counts beyond its fixed-capacity arrays
+    // route through the Vec-based distinct sampler (the wide-word fallbacks
+    // are retired): still bit-identical across thread counts.
     let muse = presets::muse_144_132();
-    let config = |threads| MsedConfig {
-        failing_devices: 10,
+    let config = |k, threads| MsedConfig {
+        failing_devices: k,
         trials: 2_000,
         seed: 0xB16,
         threads,
     };
-    let serial = muse_msed(&muse, config(1));
-    assert_eq!(serial, muse_msed(&muse, config(4)));
-    assert_eq!(serial.total(), 2_000);
+    for k in [1usize, 3, 10] {
+        let serial = muse_msed(&muse, config(k, 1));
+        assert_eq!(serial, muse_msed(&muse, config(k, 4)), "k={k}");
+        assert_eq!(serial.total(), 2_000, "k={k}");
+    }
 
     for t in [1usize, 2] {
         let rs = RsMemoryCode::new(8, 144, t).expect("geometry");
-        let serial = rs_msed(&rs, 4, RsDetectMode::DeviceConfined, config(1));
+        let serial = rs_msed(&rs, 4, RsDetectMode::DeviceConfined, config(10, 1));
         assert_eq!(
             serial,
-            rs_msed(&rs, 4, RsDetectMode::DeviceConfined, config(4)),
+            rs_msed(&rs, 4, RsDetectMode::DeviceConfined, config(10, 4)),
             "t={t}"
         );
         assert_eq!(serial.total(), 2_000);

@@ -13,7 +13,7 @@
 //! lane kernel — see CHANGES.md.)
 
 use muse_core::presets;
-use muse_faultsim::{muse_msed, MsedConfig, Rng};
+use muse_faultsim::{muse_msed, MsedConfig, MsedStats, Rng};
 
 #[test]
 fn rng_stream_pin() {
@@ -89,5 +89,30 @@ fn msed_tally_pin_muse_80_69() {
     assert!(
         (80.0..90.0).contains(&rate),
         "rate {rate} left the plausible band"
+    );
+}
+
+#[test]
+fn msed_tally_pin_generic_path_muse_144_132() {
+    // k = 3 takes the generic syndrome-domain loop (inject_distinct +
+    // classify), not the k = 2 quad-columnar path: pin its whole tally.
+    let stats = muse_msed(
+        &presets::muse_144_132(),
+        MsedConfig {
+            failing_devices: 3,
+            trials: 2_000,
+            seed: 0x4D53_4544,
+            threads: 0,
+        },
+    );
+    assert_eq!(
+        stats,
+        MsedStats {
+            detected: 1_755,
+            corrected: 0,
+            miscorrected: 244,
+            silent: 1,
+        },
+        "pinned Monte-Carlo tally changed: PRNG, injection, or decoder drifted"
     );
 }
